@@ -13,6 +13,10 @@
 // -open loads a database directory written by -save or nrad -dir;
 // -save writes the database out on exit, as binary columnar segments
 // by default (-storage csv exports portable CSV; see docs/STORAGE.md).
+// -analyze (on by default) collects optimizer statistics at start-up
+// only for tables that have none: an -open directory's persisted
+// statistics are reused, while a -tpch instance has none, so every
+// table is analyzed. The shell reports on stderr what it collected.
 //
 // With -connect the shell speaks the nrad line protocol instead of
 // embedding the engine: statements execute in a server-side session,
@@ -108,7 +112,7 @@ func main() {
 		tmo   = flag.Duration("timeout", 0, "per-query timeout, e.g. 30s (0 = none)")
 		twoVL = flag.Bool("2vl", false, "evaluate under two-valued logic: NULL comparisons are FALSE; NOT IN / NOT EXISTS / ALL unnest to antijoins")
 		vect  = flag.Bool("vectorized", false, "execute the hot path batch-at-a-time (identical results; serial in-memory path only)")
-		anlz  = flag.Bool("analyze", true, "collect optimizer statistics on the loaded tables at startup (enables cost-based planning)")
+		anlz  = flag.Bool("analyze", true, "at startup, collect optimizer statistics for loaded tables that have none (persisted statistics are reused; enables cost-based planning)")
 		dbg   = flag.String("debug-addr", "", "serve the debug HTTP endpoint (expvar metrics + pprof) on this address, e.g. localhost:6060 (empty = off; bind to localhost only — see docs/OBSERVABILITY.md)")
 		slowQ = flag.Duration("slow-query", -1, "log queries at least this slow to the slow-query log (0 = every query, negative = off)")
 		slowF = flag.String("slow-log", "", "slow-query log destination file (JSON lines; empty = stderr)")
@@ -187,8 +191,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "saved to %s (%s format)\n", *save, *store)
 	}
 	if *anlz {
-		if err := db.Analyze(); err != nil {
+		start := time.Now()
+		collected, err := db.AnalyzeMissing()
+		if err != nil {
 			fail(err)
+		}
+		if len(collected) > 0 {
+			fmt.Fprintf(os.Stderr, "nraql: statistics: collected %s (%v)\n",
+				strings.Join(collected, ", "), time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if *dbg != "" {

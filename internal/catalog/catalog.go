@@ -331,18 +331,40 @@ func (c *Catalog) AnalyzeTable(name string) error {
 // AnalyzeAll collects statistics for every table and commits them as one
 // new snapshot.
 func (c *Catalog) AnalyzeAll() {
+	c.analyzeWhere(func(*Table) bool { return true })
+}
+
+// AnalyzeMissing collects statistics only for the tables that have none —
+// never analyzed, or made stale by a mutation since — commits them as one
+// new snapshot (none when the list is empty), and returns their sorted
+// names. Tables with fresh statistics, such as the ones a checkpoint
+// persisted and csvio reattached, keep them untouched: fresh statistics
+// describe exactly the table's current rows, so re-collecting them would
+// reproduce the same numbers.
+func (c *Catalog) AnalyzeMissing() []string {
+	return c.analyzeWhere(func(t *Table) bool { return t.Stats() == nil })
+}
+
+// analyzeWhere stages an analyzed version of every table want selects and
+// commits them as one snapshot, returning the analyzed names.
+func (c *Catalog) analyzeWhere(want func(*Table) bool) []string {
 	tx := c.Begin()
 	defer tx.Rollback()
+	var names []string
 	for _, name := range tx.base.Names() {
-		t, err := tx.Table(name)
-		if err != nil {
+		t := tx.base.tables[name]
+		if !want(t) {
 			continue
 		}
 		nt := t.clone()
 		nt.Analyze()
 		tx.staged[name] = nt
+		names = append(names, name)
 	}
-	tx.Commit()
+	if len(names) > 0 {
+		tx.Commit()
+	}
+	return names
 }
 
 // CreateIndexOn commits a new version of the named table carrying an

@@ -1,9 +1,11 @@
 package catalog
 
 import (
+	"reflect"
 	"testing"
 
 	"nra/internal/relation"
+	"nra/internal/stats"
 	"nra/internal/value"
 )
 
@@ -300,5 +302,113 @@ func TestStatsLifecycle(t *testing.T) {
 	tbl2.SetStats(ts)
 	if tbl2.Stats() != ts {
 		t.Fatal("SetStats must install fresh statistics")
+	}
+}
+
+// TestAnalyzeMissing pins the start-up contract: only tables without
+// fresh statistics are collected, the others keep their statistics
+// object, and nothing is committed when nothing is missing.
+func TestAnalyzeMissing(t *testing.T) {
+	c := New()
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := c.Create(name, sample(), "id"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AnalyzeTable("b"); err != nil {
+		t.Fatal(err)
+	}
+	statsOf := func(name string) *stats.Table {
+		t.Helper()
+		tb, err := c.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb.Stats()
+	}
+	kept := statsOf("b")
+	epoch := c.Epoch()
+	if got := c.AnalyzeMissing(); !reflect.DeepEqual(got, []string{"a", "c"}) {
+		t.Fatalf("AnalyzeMissing = %v, want [a c]", got)
+	}
+	if c.Epoch() != epoch+1 {
+		t.Fatalf("epoch %d -> %d, want one commit", epoch, c.Epoch())
+	}
+	if statsOf("b") != kept {
+		t.Fatal("fresh statistics must be kept, not re-collected")
+	}
+	if statsOf("a") == nil || statsOf("c") == nil {
+		t.Fatal("missing statistics must be collected")
+	}
+
+	epoch = c.Epoch()
+	if got := c.AnalyzeMissing(); len(got) != 0 {
+		t.Fatalf("second AnalyzeMissing = %v, want none", got)
+	}
+	if c.Epoch() != epoch {
+		t.Fatal("AnalyzeMissing with nothing missing must not commit")
+	}
+
+	// A mutation makes a table's statistics stale, which counts as missing.
+	if _, err := c.Delete("c", []value.Value{value.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.AnalyzeMissing(); !reflect.DeepEqual(got, []string{"c"}) {
+		t.Fatalf("AnalyzeMissing after DML = %v, want [c]", got)
+	}
+}
+
+// TestUpdateKeyValueMismatch pins that an update whose key and value
+// lists differ in length is an error, not an index panic: the WAL hands
+// replayed records to Update unchecked.
+func TestUpdateKeyValueMismatch(t *testing.T) {
+	c := New()
+	if _, err := c.Create("emp", sample(), "id"); err != nil {
+		t.Fatal(err)
+	}
+	keys := []value.Value{value.Int(1), value.Int(2)}
+	if _, err := c.Update("emp", keys, []string{"salary"}, [][]value.Value{{value.Int(1)}}); err == nil {
+		t.Fatal("two keys with one value row must fail")
+	}
+}
+
+// TestSmallWriteAllocs pins that the key checks of a one-row insert,
+// update or delete allocate per row written, not per row in the table:
+// a write on a large table must not allocate a key for every existing
+// row. (Index rebuilds are O(table) by design; the lazily declared PK
+// index here is never built, so it is not part of the count.)
+func TestSmallWriteAllocs(t *testing.T) {
+	const n = 10000
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{i, i % 7, i}
+	}
+	c := New()
+	if _, err := c.CreateLoaded("emp", relation.MustFromRows("emp", []string{"id", "dept", "salary"}, rows...), "id"); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(n)
+	ops := map[string]func(){
+		"insert+delete": func() {
+			k := value.Int(next)
+			next++
+			if _, err := c.Insert("emp", [][]value.Value{{k, value.Int(1), value.Int(1)}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Delete("emp", []value.Value{k}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"update": func() {
+			if _, err := c.Update("emp", []value.Value{value.Int(5)}, []string{"salary"}, [][]value.Value{{value.Int(next)}}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		},
+	}
+	for name, op := range ops {
+		if allocs := testing.AllocsPerRun(5, op); allocs > 200 {
+			t.Errorf("%s on a %d-row table: %.0f allocations, want O(1) in the table size", name, n, allocs)
+		}
 	}
 }

@@ -73,14 +73,13 @@ func (t *Table) withTuples(tuples []relation.Tuple) (*Table, error) {
 
 // insertRows returns a new version with rows (full table width, schema
 // order) appended, and the number inserted. On any validation error no
-// version is produced.
+// version is produced. Only the new keys are hashed; the existing rows
+// are probed against them with one reused key buffer, so a small insert
+// into a large table allocates O(rows inserted), not O(table).
 func (t *Table) insertRows(rows [][]value.Value) (*Table, int, error) {
 	schema := t.Rel.Schema
 	pkIdx := schema.MustColIndex(t.PK)
-	seen := make(map[string]bool, t.Rel.Len()+len(rows))
-	for _, tup := range t.Rel.Tuples {
-		seen[string(tup.Atoms[pkIdx].AppendKey(nil))] = true
-	}
+	fresh := make(map[string]int, len(rows)) // new key -> its row
 	staged := make([]relation.Tuple, 0, len(rows))
 	for ri, row := range rows {
 		if len(row) != len(schema.Cols) {
@@ -97,11 +96,14 @@ func (t *Table) insertRows(rows [][]value.Value) (*Table, int, error) {
 			return nil, 0, fmt.Errorf("catalog: insert into %s row %d: NULL primary key", t.Name, ri)
 		}
 		key := string(pk.AppendKey(nil))
-		if seen[key] {
+		if _, dup := fresh[key]; dup {
 			return nil, 0, fmt.Errorf("catalog: insert into %s row %d: duplicate primary key %s", t.Name, ri, pk)
 		}
-		seen[key] = true
+		fresh[key] = ri
 		staged = append(staged, relation.Tuple{Atoms: append([]value.Value(nil), row...)})
+	}
+	if ri, dup := t.firstExisting(pkIdx, fresh); dup {
+		return nil, 0, fmt.Errorf("catalog: insert into %s row %d: duplicate primary key %s", t.Name, ri, rows[ri][pkIdx])
 	}
 	next := make([]relation.Tuple, 0, t.Rel.Len()+len(staged))
 	next = append(next, t.Rel.Tuples...)
@@ -111,6 +113,20 @@ func (t *Table) insertRows(rows [][]value.Value) (*Table, int, error) {
 		return nil, 0, err
 	}
 	return nt, len(staged), nil
+}
+
+// firstExisting returns the smallest row of fresh (keyed by primary-key
+// encoding) whose key some existing row already holds.
+func (t *Table) firstExisting(pkIdx int, fresh map[string]int) (int, bool) {
+	first := -1
+	var key []byte
+	for _, tup := range t.Rel.Tuples {
+		key = tup.Atoms[pkIdx].AppendKey(key[:0])
+		if ri, hit := fresh[string(key)]; hit && (first < 0 || ri < first) {
+			first = ri
+		}
+	}
+	return first, first >= 0
 }
 
 // deleteByPK returns a new version without the rows whose primary key is
@@ -126,8 +142,10 @@ func (t *Table) deleteByPK(keys []value.Value) (*Table, int, error) {
 	}
 	kept := make([]relation.Tuple, 0, t.Rel.Len())
 	removed := 0
+	var key []byte
 	for _, tup := range t.Rel.Tuples {
-		if doomed[string(tup.Atoms[pkIdx].AppendKey(nil))] {
+		key = tup.Atoms[pkIdx].AppendKey(key[:0])
+		if doomed[string(key)] {
 			removed++
 			continue
 		}
@@ -146,17 +164,25 @@ func (t *Table) deleteByPK(keys []value.Value) (*Table, int, error) {
 // applyUpdates returns a new version with the named columns of the rows
 // identified by keys rewritten: keys[i]'s row gets vals[i] (parallel to
 // cols). The full post-state is validated before the version is
-// produced; on error no version exists.
+// produced; on error no version exists. Primary-key uniqueness is
+// re-checked only when the update writes the key column: otherwise every
+// key is unchanged, and the version it derives from already held the
+// contract.
 func (t *Table) applyUpdates(keys []value.Value, cols []string, vals [][]value.Value) (*Table, int, error) {
 	schema := t.Rel.Schema
 	pkIdx := schema.MustColIndex(t.PK)
 	colIdx := make([]int, len(cols))
+	writesPK := false
 	for i, c := range cols {
 		j := schema.ColIndex(c)
 		if j < 0 {
 			return nil, 0, fmt.Errorf("catalog: update %s: no column %q", t.Name, c)
 		}
 		colIdx[i] = j
+		writesPK = writesPK || j == pkIdx
+	}
+	if len(vals) != len(keys) {
+		return nil, 0, fmt.Errorf("catalog: update %s: %d value rows for %d keys", t.Name, len(vals), len(keys))
 	}
 	byKey := make(map[string][]value.Value, len(keys))
 	for i, k := range keys {
@@ -169,10 +195,15 @@ func (t *Table) applyUpdates(keys []value.Value, cols []string, vals [][]value.V
 
 	next := make([]relation.Tuple, len(t.Rel.Tuples))
 	updated := 0
-	seen := make(map[string]bool, len(t.Rel.Tuples))
+	var seen map[string]bool
+	if writesPK {
+		seen = make(map[string]bool, len(t.Rel.Tuples))
+	}
+	var key []byte
 	for i, tup := range t.Rel.Tuples {
 		atoms := tup.Atoms
-		if newVals, hit := byKey[string(tup.Atoms[pkIdx].AppendKey(nil))]; hit {
+		key = tup.Atoms[pkIdx].AppendKey(key[:0])
+		if newVals, hit := byKey[string(key)]; hit {
 			updated++
 			atoms = append([]value.Value(nil), tup.Atoms...)
 			for vi, j := range colIdx {
@@ -182,16 +213,19 @@ func (t *Table) applyUpdates(keys []value.Value, cols []string, vals [][]value.V
 				atoms[j] = newVals[vi]
 			}
 		}
+		next[i] = relation.Tuple{Atoms: atoms}
+		if !writesPK {
+			continue
+		}
 		pk := atoms[pkIdx]
 		if pk.IsNull() {
 			return nil, 0, fmt.Errorf("catalog: update %s: NULL primary key", t.Name)
 		}
-		key := string(pk.AppendKey(nil))
-		if seen[key] {
+		pkKey := string(pk.AppendKey(nil))
+		if seen[pkKey] {
 			return nil, 0, fmt.Errorf("catalog: update %s: duplicate primary key %s", t.Name, pk)
 		}
-		seen[key] = true
-		next[i] = relation.Tuple{Atoms: atoms}
+		seen[pkKey] = true
 	}
 	if updated == 0 {
 		return t, 0, nil

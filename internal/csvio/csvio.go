@@ -443,17 +443,34 @@ func LoadFS(fs vfs.FS, dir string) (*catalog.Catalog, uint64, error) {
 				return nil, 0, err
 			}
 		}
-		// Reattach persisted statistics, but only when they still describe
-		// the data (a hand-edited CSV must not resurrect wrong row counts).
-		if meta.Stats != nil && meta.Stats.Rows == rel.Len() {
-			ts, err := stats.FromJSON(meta.Stats)
-			if err != nil {
-				return nil, 0, fmt.Errorf("csvio: table %s: %w", meta.Name, err)
-			}
+		if ts := persistedStats(meta, rel.Len()); ts != nil {
 			tbl.SetStats(ts)
 		}
 	}
 	return cat, man.Checkpoint, nil
+}
+
+// persistedStats returns the entry's persisted statistics when they can
+// describe the loaded rows (see stats.TableJSON.Validate), nil otherwise.
+// Statistics are advisory, so bad ones are dropped rather than failing
+// the load: the table then reads as never analyzed, and start-up
+// re-collects it (catalog.AnalyzeMissing).
+func persistedStats(meta TableMeta, rows int) *stats.Table {
+	if meta.Stats == nil {
+		return nil
+	}
+	cols := make([]string, len(meta.Columns))
+	for i, c := range meta.Columns {
+		cols[i] = c.Name
+	}
+	if meta.Stats.Validate(cols, rows) != nil {
+		return nil
+	}
+	ts, err := stats.FromJSON(meta.Stats)
+	if err != nil {
+		return nil
+	}
+	return ts
 }
 
 // readManifest returns the parsed manifest, or (nil, nil) when the

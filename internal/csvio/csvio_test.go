@@ -9,6 +9,7 @@ import (
 
 	"nra/internal/catalog"
 	"nra/internal/relation"
+	"nra/internal/stats"
 	"nra/internal/tpch"
 	"nra/internal/value"
 )
@@ -530,5 +531,78 @@ func TestLegacyManifest(t *testing.T) {
 	}
 	if tbl.Stats() != nil {
 		t.Fatal("row-count-mismatched statistics must be dropped on load")
+	}
+}
+
+// TestInvalidPersistedStatsDropped pins that LoadFS trusts a manifest's
+// statistics only when they can describe the loaded rows: a hand-edited
+// entry loads without statistics (the data itself is intact), and
+// start-up's AnalyzeMissing re-collects exactly that table.
+func TestInvalidPersistedStatsDropped(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*stats.TableJSON)
+	}{
+		{"renamed column", func(s *stats.TableJSON) { s.Cols[1].Name = "renamed" }},
+		{"ndv above rows", func(s *stats.TableJSON) { s.Cols[0].NDV = float64(s.Rows + 1) }},
+		{"column rows", func(s *stats.TableJSON) { s.Cols[2].Rows++ }},
+		{"nulls above rows", func(s *stats.TableJSON) { s.Cols[2].Nulls = s.Rows + 1 }},
+		{"negative histogram count", func(s *stats.TableJSON) { s.Cols[0].Counts[0] = -1 }},
+		{"histogram above rows", func(s *stats.TableJSON) { s.Cols[0].Counts[0] += s.Rows }},
+		{"dropped column", func(s *stats.TableJSON) { s.Cols = s.Cols[:len(s.Cols)-1] }},
+	}
+	dir := t.TempDir()
+	cat := sampleCatalog(t)
+	u := relation.MustFromRows("u", []string{"id", "v"}, []any{1, "x"}, []any{2, nil})
+	if _, err := cat.Create("u", u, "id"); err != nil {
+		t.Fatal(err)
+	}
+	cat.AnalyzeAll()
+	if err := Save(cat, dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "catalog.json")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each case edits a fresh copy of the saved manifest in place;
+			// the data files stay as saved.
+			var man Manifest
+			if err := json.Unmarshal(saved, &man); err != nil {
+				t.Fatal(err)
+			}
+			for i := range man.Tables {
+				if man.Tables[i].Name == "t" {
+					tc.edit(man.Tables[i].Stats)
+				}
+			}
+			raw, err := json.Marshal(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			back, err := Load(dir)
+			if err != nil {
+				t.Fatalf("invalid statistics must not fail the load: %v", err)
+			}
+			for name, want := range map[string]bool{"t": false, "u": true} {
+				tbl, err := back.Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tbl.Stats() != nil; got != want {
+					t.Fatalf("table %s has statistics = %v, want %v", name, got, want)
+				}
+			}
+			if got := back.AnalyzeMissing(); len(got) != 1 || got[0] != "t" {
+				t.Fatalf("AnalyzeMissing = %v, want [t]", got)
+			}
+		})
 	}
 }

@@ -52,6 +52,42 @@ func (t *Table) ToJSON() *TableJSON {
 	return out
 }
 
+// Validate checks that persisted statistics can describe a table with
+// the given columns (unqualified names, in schema order) and row count:
+// the same columns in the same order, every column counting the table's
+// rows, 0 ≤ Nulls ≤ Rows, 0 ≤ NDV ≤ Rows, and non-negative histogram
+// counts that sum to at most Rows. Loaders call it before trusting a
+// manifest's statistics, so a hand-edited or mismatched manifest costs a
+// re-collect, never a plan built from impossible numbers.
+func (tj *TableJSON) Validate(cols []string, rows int) error {
+	if tj.Rows != rows {
+		return fmt.Errorf("stats: %d rows, table has %d", tj.Rows, rows)
+	}
+	if len(tj.Cols) != len(cols) {
+		return fmt.Errorf("stats: %d columns, table has %d", len(tj.Cols), len(cols))
+	}
+	for i, cj := range tj.Cols {
+		switch {
+		case cj.Name != cols[i]:
+			return fmt.Errorf("stats: column %d is %q, table has %q", i, cj.Name, cols[i])
+		case cj.Rows != rows:
+			return fmt.Errorf("stats: column %s counts %d rows, table has %d", cj.Name, cj.Rows, rows)
+		case cj.Nulls < 0 || cj.Nulls > rows:
+			return fmt.Errorf("stats: column %s: %d NULLs out of %d rows", cj.Name, cj.Nulls, rows)
+		case !(cj.NDV >= 0 && cj.NDV <= float64(rows)):
+			return fmt.Errorf("stats: column %s: NDV %g out of %d rows", cj.Name, cj.NDV, rows)
+		}
+		sum := 0
+		for _, n := range cj.Counts {
+			if n < 0 || n > rows-sum {
+				return fmt.Errorf("stats: column %s: histogram count %d is negative or overruns %d rows", cj.Name, n, rows)
+			}
+			sum += n
+		}
+	}
+	return nil
+}
+
 // FromJSON rebuilds Table from its serialised form.
 func FromJSON(tj *TableJSON) (*Table, error) {
 	t := &Table{Rows: tj.Rows, byName: make(map[string]*Column, len(tj.Cols))}

@@ -168,6 +168,18 @@ func (db *DB) Analyze(tables ...string) error {
 	return nil
 }
 
+// AnalyzeMissing collects statistics only for the tables that have none
+// — never analyzed, or stale because a mutation (including one replayed
+// from the write-ahead log) changed them — and returns their names. Every
+// other table keeps its statistics, notably the ones a checkpoint
+// persisted next to its checksummed data, which describe exactly the
+// loaded rows; so the planner sees the numbers a full Analyze would
+// collect, at start-up cost proportional to what changed. Explicit
+// Analyze still re-collects every table.
+func (db *DB) AnalyzeMissing() ([]string, error) {
+	return db.cat.AnalyzeMissing(), nil
+}
+
 // StatsSummary renders a table's collected statistics (one line per
 // column), or reports that none are available / they are stale.
 func (db *DB) StatsSummary(table string) (string, error) {
